@@ -7,11 +7,11 @@ plus a CSV mirror for plotting.
 """
 
 import argparse
-import json
 import math
 
 import numpy as np
 
+from csib.cli import json_line
 from csib.conditional import mse
 from csib.data import gen_synthetic, minmax_normalize, split
 from csib.nn import atomic_write_text, init_model
@@ -25,7 +25,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--epochs", type=int, default=40)
     parser.add_argument("--beta-grid", default="0,0.001,0.01,0.1,1,10")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="info_plane.jsonl")
     parser.add_argument("--csv", default="info_plane.csv")
     args = parser.parse_args()
@@ -45,9 +44,9 @@ def main() -> None:
     )
     model = init_model(args.dim, seed=args.seed, noise_init=0.1)
     grid = [float(v) for v in args.beta_grid.split(",")]
-    points = sweep(train_ds, model, grid, cfg, test_ds=test_ds, workers=args.workers)
+    points = sweep(train_ds, model, grid, cfg, test_ds=test_ds)
 
-    lines = [json.dumps(p.to_json_dict(), sort_keys=True) for p in points]
+    lines = [json_line(p.to_json_dict()) for p in points]
     atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     header = "beta,i_xt,i_xt_raw,i_yt_proxy,r,rmse_train,rmse_test,epochs,seed,error"
     rows = [header] + [

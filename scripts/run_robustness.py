@@ -2,9 +2,9 @@
 """Train a CS-IB model and evaluate FGSM/PGD robustness on the test split."""
 
 import argparse
-import json
 
 from csib.attacks import AttackConfig, evaluate_robustness
+from csib.cli import json_line
 from csib.data import gen_synthetic, minmax_normalize, split
 from csib.nn import init_model
 from csib.training import TrainConfig, train
@@ -34,14 +34,14 @@ def main() -> None:
     )
     model = init_model(args.dim, seed=args.seed, noise_init=0.1)
     result = train(train_ds, model, cfg, test_ds)
-    print(json.dumps({"final_epoch": result.epoch_log[-1]}, sort_keys=True))
+    print(json_line({"final_epoch": result.epoch_log[-1]}))
 
     for attack_cfg in (
         AttackConfig(kind="fgsm", epsilon=args.epsilon),
         AttackConfig(kind="pgd", rho=args.rho, alpha=args.alpha, steps=args.steps),
     ):
         report = evaluate_robustness(result.model, test_ds.features, test_ds.targets, attack_cfg)
-        print(json.dumps(report, sort_keys=True))
+        print(json_line(report))
 
 
 if __name__ == "__main__":

@@ -158,10 +158,14 @@ def power(a, exponent: float) -> Var:
 
 def exp(a) -> Var:
     a = as_var(a)
-    out = Var(np.exp(a.value), (a,))
+    value = np.exp(a.value)
+    out = Var(value, (a,))
 
+    # Captures the value, not ``out``: a closure over its own node is a
+    # reference cycle that keeps the whole graph alive until the cyclic
+    # garbage collector runs.
     def push(g):
-        _accumulate(a, g * out.value)
+        _accumulate(a, g * value)
 
     out._push = push
     return out

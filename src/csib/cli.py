@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 usage/parse/config error, 3 numerical infinity,
 4 training failure.  Numeric output is printed with 12 significant
 digits; the accompanying JSON carries full-precision floats.
+
+Every JSON line is strict RFC 8259 JSON.  JSON has no literal for
+infinity, so +inf and -inf are written as the out-of-range numbers
+``1e999`` and ``-1e999``, which parse back to +-inf in Python and
+JavaScript; NaN, which no estimator returns, would be written as null.
 """
 
 from __future__ import annotations
@@ -85,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="JSONL output path")
     sw.add_argument("--csv", help="CSV mirror path")
     sw.add_argument("--beta-grid", help="comma-separated beta values")
-    sw.add_argument("--workers", type=int, default=1)
     _train_flags(sw)
 
     at = sub.add_parser("attack", help="robustness report for a trained checkpoint")
@@ -207,14 +211,27 @@ def _prepare_splits(data_path: str, cfg: TrainConfig, pipeline: dict):
     return train_ds, test_ds, record
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
+def _json_safe(obj):
+    """Copy of obj with non-finite floats replaced by placeholders."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else f"\0{obj}"
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def json_line(obj: dict) -> str:
+    """One strict JSON object on one line, keys sorted (see module docstring)."""
+    text = json.dumps(_json_safe(obj), sort_keys=True, allow_nan=False)
+    return text.replace('"\\u0000inf"', "1e999").replace('"\\u0000-inf"', "-1e999")
 
 
 def _print_value(measure: str, value: float, params: dict) -> int:
     rendered = ", ".join(f"{k}={v}" for k, v in params.items())
     print(f"{measure} = {value:.12g} nats ({rendered})")
-    print(_json_line({"measure": measure, "value": value, "params": params}))
+    print(json_line({"measure": measure, "value": value, "params": params}))
     return EXIT_INFINITY if math.isinf(value) else EXIT_OK
 
 
@@ -279,7 +296,7 @@ def _cmd_train(args) -> int:
         result = train(train_ds, model, cfg, test_ds)
     except NumericalError as exc:
         if args.log:
-            atomic_write_text(args.log, "".join(_json_line(r) + "\n" for r in exc.epoch_log))
+            atomic_write_text(args.log, "".join(json_line(r) + "\n" for r in exc.epoch_log))
         if exc.last_model is not None:
             save_checkpoint(
                 args.out_model, exc.last_model, normalization=record,
@@ -288,7 +305,7 @@ def _cmd_train(args) -> int:
         print(f"error: training failed: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     if args.log:
-        atomic_write_text(args.log, "".join(_json_line(r) + "\n" for r in result.epoch_log))
+        atomic_write_text(args.log, "".join(json_line(r) + "\n" for r in result.epoch_log))
     save_checkpoint(
         args.out_model,
         result.model,
@@ -296,7 +313,7 @@ def _cmd_train(args) -> int:
         meta={"epochs": cfg.epochs, "beta": cfg.beta, "seed": cfg.seed},
     )
     last = result.epoch_log[-1] if result.epoch_log else {}
-    print(_json_line({"trained": True, "epochs": cfg.epochs, **{
+    print(json_line({"trained": True, "epochs": cfg.epochs, **{
         k: last.get(k) for k in ("rmse_train", "rmse_test", "i_xt")}}))
     return EXIT_OK
 
@@ -325,9 +342,8 @@ def _cmd_sweep(args) -> int:
         cfg,
         test_ds=test_ds,
         reference_beta=pipeline["reference_beta"],
-        workers=args.workers,
     )
-    lines = [_json_line(p.to_json_dict()) for p in points]
+    lines = [json_line(p.to_json_dict()) for p in points]
     atomic_write_text(args.out, "".join(line + "\n" for line in lines))
     if args.csv:
         header = "beta,i_xt,i_xt_raw,i_yt_proxy,r,rmse_train,rmse_test,epochs,seed,error"
@@ -363,7 +379,7 @@ def _cmd_attack(args) -> int:
         clip_unit=args.clip_attack,
     )
     report = evaluate_robustness(model, ds.features, ds.targets, cfg)
-    text = _json_line(report)
+    text = json_line(report)
     print(text)
     if args.out:
         atomic_write_text(args.out, text + "\n")
@@ -442,7 +458,7 @@ def _cmd_verify(args) -> int:
         report = _run_suite(name, args.trials, seed)
         report["pass"] = report["violations"] == 0
         failed += 0 if report["pass"] else 1
-        print(_json_line(report))
+        print(json_line(report))
     return EXIT_OK if failed == 0 else 1
 
 
@@ -454,7 +470,7 @@ def _cmd_demo(args) -> int:
             f"{i},{d!r},{m!r}" for i, (d, m) in enumerate(zip(traj.d_cs, traj.mmd_sq))
         ]
         atomic_write_text(args.out, "".join(r + "\n" for r in rows))
-        print(_json_line({
+        print(json_line({
             "demo": "cloud", "steps": args.steps,
             "initial_mmd_sq": traj.mmd_sq[0], "final_mmd_sq": traj.mmd_sq[-1],
             "initial_d_cs": traj.d_cs[0], "final_d_cs": traj.d_cs[-1],
@@ -465,7 +481,7 @@ def _cmd_demo(args) -> int:
         movable = report.pop("movable_final")
         rows = ["x0,x1"] + [f"{float(p[0])!r},{float(p[1])!r}" for p in movable]
         atomic_write_text(args.out, "".join(r + "\n" for r in rows))
-        print(_json_line({"demo": "modes", **report}))
+        print(json_line({"demo": "modes", **report}))
         return EXIT_OK
     raise ConfigError(f"unknown demo kind {args.kind!r}")
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, SingularMatrixError
 from .kernels import as_sample_matrix, check_width, gram
@@ -82,6 +81,10 @@ def conditional_mmd(
 
     tr(K A L1 A) + tr(K A L2 A) - 2 tr(K A L21 A) with A = (K + ridge I)^-1.
     """
+    # Imported here: scipy.linalg is most of the package's import time,
+    # and only this comparator needs it.
+    from scipy.linalg import cho_factor, cho_solve
+
     if batch.rows < 2:
         raise DimensionError("conditional MMD needs at least 2 rows")
     ridge = float(ridge)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateInputError, DimensionError
-from .kernels import as_sample_matrix, check_width, gram, log_gram
+from .kernels import as_sample_matrix, check_width, gram, log_gram, logsumexp
 
 _SELF_DEP_TOL = 1e-10
 

@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionError, SingularCovError
-from .kernels import check_width, log_gram
+from .kernels import check_width, log_gram, logsumexp
 
 # Log of the smallest positive (subnormal) double.  A log-mean below
 # this corresponds to a Gram mean that underflows to zero in linear

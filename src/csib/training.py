@@ -11,7 +11,6 @@ fixed seed reproduces the trajectory bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import autodiff as ad
 from . import rng
 from .conditional import mse
 from .data import Dataset
-from .dependence import cs_qmi, cs_qmi_from_log_grams
+from .dependence import cs_qmi_from_log_grams
 from .errors import ConfigError, DegenerateInputError, NumericalError
 from .kernels import as_sample_matrix, check_width, gram, log_gram
 from .nn import ModelGraph, OptimizerState, build_forward, predict, step
@@ -78,22 +77,14 @@ class InfoPlanePoint:
         return asdict(self)
 
 
-def _gram_node(v, sigma: float) -> ad.Var:
-    """Gaussian Gram matrix as a graph node; constants stay constant."""
-    if isinstance(v, ad.Var):
-        return ad.exp(ad.pairwise_sqdist(v, v) * (-0.5 / sigma**2))
-    return ad.Var(gram(v, v, sigma))
-
-
-def conditional_cs_node(x, y, y_hat, sigma_x: float, sigma_y: float) -> ad.Var:
+def conditional_cs_node(k: np.ndarray, y, y_hat, sigma_y: float) -> ad.Var:
     """Conditional CS divergence as a differentiable scalar node.
 
-    ``y_hat`` may be a Var from a forward graph (training path) or a
-    plain array (evaluation); x and y are data constants.
+    ``k`` is the constant x-side Gram matrix.  ``y_hat`` may be a Var
+    from a forward graph (training path) or a plain array (evaluation);
+    y is a data constant.
     """
-    x = as_sample_matrix(x, "x")
     y = as_sample_matrix(y, "y")
-    k = gram(x, x, sigma_x)
     row_inv_sq = 1.0 / k.sum(axis=1) ** 2
     l_obs = gram(y, y, sigma_y)
     term_obs = float(np.sum((k * l_obs).sum(axis=1) * row_inv_sq))
@@ -108,28 +99,30 @@ def conditional_cs_node(x, y, y_hat, sigma_x: float, sigma_y: float) -> ad.Var:
     return ad.log(ad.Var(term_obs)) + ad.log(term_pred) - 2.0 * ad.log(term_cross)
 
 
-def cs_qmi_node(a, b, sigma_a: float, sigma_b: float) -> ad.Var:
-    """CS-QMI between two row-aligned sample nodes as a scalar node."""
-    n = (a.value if isinstance(a, ad.Var) else np.asarray(a)).shape[0]
-    log_n = math.log(n)
-    ka = _gram_node(a, check_width(sigma_a))
-    kb = _gram_node(b, check_width(sigma_b))
+def cs_qmi_node(ka: ad.Var, kb: ad.Var) -> ad.Var:
+    """CS-QMI between two row-aligned samples, given their Gram nodes."""
+    log_n = math.log(ka.value.shape[0])
     joint = ad.log(ad.vsum(ka * kb)) - 2.0 * log_n
     product = ad.log(ad.vsum(ka)) + ad.log(ad.vsum(kb)) - 4.0 * log_n
     cross = ad.log(ad.vsum(ad.vsum(ka, axis=1) * ad.vsum(kb, axis=1))) - 3.0 * log_n
     return joint + product - 2.0 * cross
 
 
-def normalized_cs_qmi_node(x, t_var: ad.Var, sigma_x: float, sigma_t: float) -> ad.Var:
-    """Normalized CS-QMI node I(x;t) / sqrt(I(x;x) I(t;t)); x is constant."""
-    x = as_sample_matrix(x, "x")
-    i_xx = cs_qmi(x, x, sigma_x, sigma_x)
+def normalized_cs_qmi_node(log_k: np.ndarray, k: np.ndarray, t_var: ad.Var,
+                           sigma_t: float) -> ad.Var:
+    """Normalized CS-QMI node I(x;t) / sqrt(I(x;x) I(t;t)).
+
+    ``log_k`` and ``k = exp(log_k)`` are the constant x-side Gram
+    matrices; one t-Gram node serves both I(t;t) and I(x;t).
+    """
+    i_xx = cs_qmi_from_log_grams(log_k, log_k)
     if i_xx <= _SELF_DEP_TOL:
         raise DegenerateInputError("x has zero self-dependence (constant input)")
-    i_tt = cs_qmi_node(t_var, t_var, sigma_t, sigma_t)
+    q = ad.exp(ad.pairwise_sqdist(t_var, t_var) * (-0.5 / check_width(sigma_t) ** 2))
+    i_tt = cs_qmi_node(q, q)
     if float(i_tt.value) <= _SELF_DEP_TOL:
         raise DegenerateInputError("t has zero self-dependence (constant representation)")
-    i_xt = cs_qmi_node(ad.Var(x), t_var, sigma_x, sigma_t)
+    i_xt = cs_qmi_node(ad.Var(k), q)
     return i_xt / ((i_xx * i_tt) ** 0.5)
 
 
@@ -147,13 +140,16 @@ def cs_ib_loss(x, y, y_hat, t, cfg: TrainConfig) -> LossParts:
     agree exactly.  Non-finite terms raise :class:`NumericalError`
     naming the offending term.
     """
-    prediction = conditional_cs_node(x, y, y_hat, cfg.sigma_x, cfg.sigma_y)
+    x = as_sample_matrix(x, "x")
+    log_k = log_gram(x, x, cfg.sigma_x)
+    k = np.exp(log_k)
+    prediction = conditional_cs_node(k, y, y_hat, cfg.sigma_y)
     if not np.isfinite(prediction.value):
         raise NumericalError("prediction term (conditional CS) is non-finite")
     if cfg.beta == 0.0:
         return LossParts(loss=prediction, prediction=prediction, regularizer=None)
     t_var = t if isinstance(t, ad.Var) else ad.Var(as_sample_matrix(t, "t"))
-    regularizer = normalized_cs_qmi_node(x, t_var, cfg.sigma_x, cfg.sigma_t)
+    regularizer = normalized_cs_qmi_node(log_k, k, t_var, cfg.sigma_t)
     if not np.isfinite(regularizer.value):
         raise NumericalError("compression term (normalized CS-QMI) is non-finite")
     loss = prediction + cfg.beta * regularizer
@@ -308,8 +304,7 @@ def compression_ratio(i_xt_at_beta: float, i_xt_at_zero: float) -> float:
     return 1.0 - i_xt_at_beta / i_xt_at_zero
 
 
-def _train_point(args) -> InfoPlanePoint:
-    train_ds, test_ds, model_template, cfg, beta = args
+def _train_point(train_ds, test_ds, model_template, cfg, beta) -> InfoPlanePoint:
     point_cfg = replace(cfg, beta=float(beta))
     model = model_template.copy()
     try:
@@ -338,27 +333,19 @@ def sweep(
     cfg: TrainConfig,
     test_ds: Dataset | None = None,
     reference_beta: float = 0.0,
-    workers: int = 1,
 ) -> list:
     """Train one model per beta from identical initialization.
 
     The grid must contain ``reference_beta``; compression ratios are
     computed against that point's final I(x;t).  A point whose training
-    fails is recorded with its error and the sweep continues.  Points
-    are independent, so ``workers > 1`` runs them in parallel with
-    results identical to the sequential order.
+    fails is recorded with its error and the sweep continues.
     """
     beta_grid = [float(b) for b in beta_grid]
     if not any(b == float(reference_beta) for b in beta_grid):
         raise ConfigError(
             f"beta grid must include the reference point {reference_beta}"
         )
-    jobs = [(train_ds, test_ds, model_template, cfg, beta) for beta in beta_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_train_point, jobs))
-    else:
-        points = [_train_point(job) for job in jobs]
+    points = [_train_point(train_ds, test_ds, model_template, cfg, beta) for beta in beta_grid]
     reference = next(p for p in points if p.beta == float(reference_beta))
     for point in points:
         if point.error is not None or reference.error is not None:

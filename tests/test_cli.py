@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from csib.cli import EXIT_INFINITY, EXIT_OK, EXIT_USAGE, main
+from csib.cli import EXIT_INFINITY, EXIT_OK, EXIT_USAGE, json_line, main
 from csib.data import gen_synthetic, save_csv
 from csib.dependence import cs_qmi, hsic_biased
 from csib.divergences import empirical_cs
+from csib.training import InfoPlanePoint
 
 
 @pytest.fixture
@@ -38,6 +39,15 @@ def train_csv(tmp_path):
     path = str(tmp_path / "train.csv")
     save_csv(path, ds, target_col="y")
     return path
+
+
+def strict_loads(text):
+    """json.loads that refuses the non-RFC 8259 tokens NaN and +-Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +103,17 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, "estimate", "cs", str(near), str(far))
         assert code == EXIT_INFINITY
         assert math.isinf(json.loads(out.strip().splitlines()[-1])["value"])
+
+    def test_infinite_value_strict_json(self, capsys, tmp_path):
+        near = tmp_path / "near.csv"
+        far = tmp_path / "far.csv"
+        near.write_text("u\n0.0\n0.1\n")
+        far.write_text("u\n1e7\n1.0000001e7\n")
+        code, out, _ = run_cli(capsys, "estimate", "cs", str(near), str(far))
+        assert code == EXIT_INFINITY
+        line = out.strip().splitlines()[-1]
+        assert '"value": 1e999' in line
+        assert strict_loads(line)["value"] == math.inf
 
     def test_conditional_cs_via_columns(self, capsys, tmp_path):
         gen = np.random.default_rng(2)
@@ -311,3 +332,19 @@ class TestVerifyAndDemo:
         out_path = tmp_path / "cloud.csv"
         code, _, _ = run_cli(capsys, "demo", "cloud", "--out", str(out_path), "--steps", "1")
         assert code == EXIT_OK
+
+
+class TestJsonLine:
+    def test_sweep_point_with_infinite_proxy(self):
+        point = InfoPlanePoint(beta=0.0, i_xt=0.5, i_yt_proxy=math.inf, rmse_train=0.0)
+        parsed = strict_loads(json_line(point.to_json_dict()))
+        assert parsed["i_yt_proxy"] == math.inf
+        assert parsed["i_xt"] == 0.5
+
+    def test_negative_infinity_and_nan(self):
+        parsed = strict_loads(json_line({"low": -math.inf, "bad": math.nan, "deep": [math.inf]}))
+        assert parsed == {"low": -math.inf, "bad": None, "deep": [math.inf]}
+
+    def test_finite_output_unchanged(self):
+        obj = {"b": [0.1, 2, None, "inf"], "a": {"x": 1e-300, "y": True}}
+        assert json_line(obj) == json.dumps(obj, sort_keys=True)

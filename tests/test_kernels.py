@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
+from csib import kernels
 from csib.errors import DimensionError, InvalidKernelError
-from csib.kernels import KernelSpec, check_width, gram, log_gram, pairwise_sqdist
+from csib.kernels import (
+    KernelSpec,
+    check_width,
+    gram,
+    guard_ratio,
+    log_gram,
+    logsumexp,
+    pairwise_sqdist,
+)
 from csib.oracle import naive_pairwise_sqdist
+
+# Twice the per-entry relative error the guarded expansion promises.
+DIST_RTOL = 2.0 * kernels._DIST_REL_TOL
 
 
 def rand(shape, seed):
@@ -37,6 +50,121 @@ class TestPairwiseSqdist:
         bad = np.array([[np.nan, 0.0]])
         with pytest.raises(DimensionError):
             pairwise_sqdist(bad, bad)
+
+
+class TestGuardedExpansion:
+    def test_guard_ratio_values(self):
+        # tau(d) = 2 (2d + 3) u / 1e-12, u = 2^-53
+        assert guard_ratio(1) == pytest.approx(1.110e-3, rel=1e-3)
+        assert guard_ratio(30) == pytest.approx(1.399e-2, rel=1e-3)
+        assert guard_ratio(128) == pytest.approx(5.751e-2, rel=1e-3)
+
+    def test_self_call_symmetric_zero_diagonal(self):
+        a = rand((50, 7), 8) * 1e3 + 5.0
+        out = pairwise_sqdist(a, a)
+        assert np.array_equal(out, out.T)
+        assert np.all(np.diag(out) == 0.0)
+
+    def test_row_blocks_match_single_block(self, monkeypatch):
+        a, b = rand((37, 5), 9), rand((23, 5), 10)
+        a[5] = a[3]  # an exact duplicate goes through the guard
+        whole_self, whole_cross = pairwise_sqdist(a, a), pairwise_sqdist(a, b)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 40)
+        blocked_self = pairwise_sqdist(a, a)
+        np.testing.assert_allclose(blocked_self, whole_self, rtol=DIST_RTOL, atol=0)
+        assert np.array_equal(blocked_self, blocked_self.T)
+        assert np.all(np.diag(blocked_self) == 0.0) and blocked_self[3, 5] == 0.0
+        np.testing.assert_allclose(pairwise_sqdist(a, b), whole_cross, rtol=DIST_RTOL, atol=0)
+
+
+def _assert_matches_naive(a, b):
+    out = pairwise_sqdist(a, b)
+    np.testing.assert_allclose(out, naive_pairwise_sqdist(a, b), rtol=DIST_RTOL, atol=0)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 1000),
+       offset=st.sampled_from([0.0, 1e6, -1e6]))
+def test_near_duplicate_rows(n, d, seed, offset):
+    base = rand((n, d), seed) + offset
+    near = base + 1e-7 * rand((n, d), seed + 1)
+    rows = np.vstack([base, near])
+    _assert_matches_naive(rows, rows)
+    _assert_matches_naive(base, near)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 16), m=st.integers(1, 16), d=st.integers(1, 5),
+       seed=st.integers(0, 1000))
+def test_common_offset(n, m, d, seed):
+    a = rand((n, d), seed) + 1e6
+    b = rand((m, d), seed + 1) + 1e6
+    _assert_matches_naive(a, b)
+    _assert_matches_naive(a, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 20), d=st.integers(1, 5), seed=st.integers(0, 1000))
+def test_row_scales_span_twelve_decades(n, d, seed):
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0, (n, 1))
+    a = rand((n, d), seed + 1) * scales
+    b = rand((n, d), seed + 2) * scales[::-1]
+    _assert_matches_naive(a, a)
+    _assert_matches_naive(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30), m=st.integers(1, 30), seed=st.integers(0, 1000),
+       spread=st.floats(1e-6, 1e6))
+def test_one_dimensional_rows(n, m, seed, spread):
+    a = rand((n, 1), seed) * spread + 3.0
+    b = rand((m, 1), seed + 1) * spread + 3.0
+    _assert_matches_naive(a, b)
+    _assert_matches_naive(a, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 6), seed=st.integers(0, 1000),
+       scale=st.floats(1e-6, 1e6), offset=st.floats(-1e6, 1e6))
+def test_self_call_exact_symmetry(n, d, seed, scale, offset):
+    a = rand((n, d), seed) * scale + offset
+    out = _assert_matches_naive(a, a)
+    assert np.array_equal(out, out.T)
+    assert np.all(np.diag(out) == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 6), seed=st.integers(0, 1000),
+       scale=st.floats(1e-6, 1e6), offset=st.floats(-1e6, 1e6))
+def test_against_copy(n, d, seed, scale, offset):
+    a = rand((n, d), seed) * scale + offset
+    out = _assert_matches_naive(a, a.copy())
+    assert np.all(np.diag(out) == 0.0)
+
+
+class TestLogsumexp:
+    def test_single_entry(self):
+        assert logsumexp(np.array([[-3.5]])) == -3.5
+        np.testing.assert_array_equal(logsumexp(np.array([[-3.5]]), axis=1), [-3.5])
+
+    def test_all_negative_infinity(self):
+        assert logsumexp(np.full((3, 4), -np.inf)) == -np.inf
+        np.testing.assert_array_equal(logsumexp(np.full((3, 4), -np.inf), axis=1), [-np.inf] * 3)
+
+    def test_no_overflow(self):
+        assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + np.log(2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 12), seed=st.integers(0, 1000),
+       scale=st.floats(1e-3, 1e3), dead_rows=st.integers(0, 3))
+def test_logsumexp_matches_scipy(n, m, seed, scale, dead_rows):
+    x = rand((n, m), seed) * scale - scale
+    x[: min(dead_rows, n)] = -np.inf
+    for axis in (None, 1):
+        np.testing.assert_allclose(logsumexp(x, axis=axis), scipy_logsumexp(x, axis=axis),
+                                   rtol=1e-13, atol=1e-13)
 
 
 class TestGram:

@@ -226,13 +226,6 @@ class TestSweep:
         points = sweep(ds, toy_model(ds, cfg), [0.0, 0.5], cfg)
         assert all(p.error is not None for p in points)
 
-    def test_parallel_matches_sequential(self):
-        ds = toy_dataset()
-        cfg = toy_config(epochs=2)
-        seq = sweep(ds, toy_model(ds, cfg), [0.0, 0.2], cfg)
-        par = sweep(ds, toy_model(ds, cfg), [0.0, 0.2], cfg, workers=2)
-        assert [p.to_json_dict() for p in seq] == [p.to_json_dict() for p in par]
-
 
 def test_config_validation():
     with pytest.raises(ConfigError):
