@@ -1,8 +1,8 @@
 """Command-line surface: estimate, train, sweep, attack, verify, demo.
 
-Exit codes: 0 success, 2 usage/parse/config error, 3 numerical infinity,
-4 training failure.  Numeric output is printed with 12 significant
-digits; the accompanying JSON carries full-precision floats.
+Exit codes: 0 success, 2 usage/parse/config/checkpoint error, 3 numerical
+infinity, 4 training failure.  Numeric output is printed with 12
+significant digits; the accompanying JSON carries full-precision floats.
 
 Every JSON line is strict RFC 8259 JSON.  JSON has no literal for
 infinity, so +inf and -inf are written as the out-of-range numbers

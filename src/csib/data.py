@@ -83,73 +83,57 @@ def gen_synthetic(n: int, d: int = 30, seed: int = 0) -> Dataset:
     return Dataset(rows, y.reshape(-1, 1))
 
 
-def load_csv(path: str, target_col: str) -> Dataset:
-    """Load a numeric CSV with a header row; target column by name."""
+def _read_numeric_csv(path: str, target_col: str | None = None):
+    """Stripped header and float64 rows of a headered numeric CSV.
+
+    Each row converts with ``map(float, row)``; only a row that fails is
+    scanned again, to name its first bad cell.  With ``target_col``, the
+    header must name it.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if target_col not in header:
+        if target_col is not None and target_col not in header:
             raise ParseError(f"{path}: target column {target_col!r} not in header {header}")
-        target_idx = header.index(target_col)
-        feature_names = [h for i, h in enumerate(header) if i != target_idx]
-        features: list = []
-        targets: list = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for col_idx, cell in enumerate(row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell at row {row_num}, "
-                        f"column {header[col_idx]!r}: {cell!r}"
-                    ) from None
-            targets.append(values[target_idx])
-            features.append([v for i, v in enumerate(values) if i != target_idx])
-    if not features:
-        raise ParseError(f"{path}: no data rows")
-    return Dataset(
-        np.array(features),
-        np.array(targets).reshape(-1, 1),
-        feature_names=feature_names,
-    )
-
-
-def load_matrix(path: str) -> np.ndarray:
-    """Load a headered numeric CSV as a plain sample matrix (all columns)."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
         rows: list = []
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                 )
-            values = []
-            for col_idx, cell in enumerate(row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell at row {row_num}, "
-                        f"column {header[col_idx].strip()!r}: {cell!r}"
-                    ) from None
-            rows.append(values)
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError:
+                for col_idx, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric cell at row {row_num}, "
+                            f"column {header[col_idx]!r}: {cell!r}"
+                        ) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows)
+    return header, np.array(rows)
+
+
+def load_csv(path: str, target_col: str) -> Dataset:
+    """Load a numeric CSV with a header row; target column by name."""
+    header, values = _read_numeric_csv(path, target_col)
+    target_idx = header.index(target_col)
+    return Dataset(
+        np.delete(values, target_idx, axis=1),
+        values[:, target_idx : target_idx + 1],
+        feature_names=[h for i, h in enumerate(header) if i != target_idx],
+    )
+
+
+def load_matrix(path: str) -> np.ndarray:
+    """Load a headered numeric CSV as a plain sample matrix (all columns)."""
+    return _read_numeric_csv(path)[1]
 
 
 def save_csv(path: str, ds: Dataset, target_col: str = "y") -> None:

@@ -13,8 +13,17 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .kernels import as_sample_matrix, check_width, gram, log_gram, logsumexp
+from .kernels import (
+    as_sample_matrix,
+    check_width,
+    fold_self_rows,
+    log_gram_blocks,
+    logsumexp,
+    self_gram_row_sums,
+)
 
+# Self-dependence at or below which an input counts as constant: the
+# normalized CS-QMI divides by sqrt(I(x;x) I(t;t)).
 _SELF_DEP_TOL = 1e-10
 
 
@@ -30,42 +39,91 @@ def _paired(x, t):
     return x, t
 
 
+def _pair_sums(x, t, sigma_x: float, sigma_t: float, entry=np.exp):
+    """Aggregates of the paired Grams K (of x) and Q (of t), streamed.
+
+    Returns (sum of K o Q, row sums of K, row sums of Q), with each
+    log-Gram entry mapped by ``entry``: ``np.exp`` gives the Grams
+    themselves, ``np.expm1`` gives K - 11' and Q - 11' to full relative
+    precision.  Both Grams are symmetric, so only their upper block
+    triangles are computed.  With ``np.exp`` every row sum is at least
+    1 (the unit diagonal): these linear-space sums are what a
+    max-shifted log-sum-exp would give, with the diagonal as the shift,
+    whatever the widths.
+    """
+    x, t = _paired(x, t)
+    n = x.shape[0]
+    row_k, row_q, row_kq = np.zeros(n), np.zeros(n), np.zeros(n)
+    blocks = zip(log_gram_blocks(x, sigma=sigma_x), log_gram_blocks(t, sigma=sigma_t))
+    for (start, stop, k), (_, _, q) in blocks:
+        entry(k, out=k)
+        entry(q, out=q)
+        fold_self_rows(row_k, k, start, stop)
+        fold_self_rows(row_q, q, start, stop)
+        k *= q
+        fold_self_rows(row_kq, k, start, stop)
+    return float(row_kq.sum()), row_k, row_q
+
+
+def _cs_qmi_from_logs(n, log_joint, log_total_k, log_total_q, log_row_k, log_row_q) -> float:
+    """CS-QMI from the log-domain joint sum, Gram totals and row sums."""
+    log_n = math.log(n)
+    joint = log_joint - 2.0 * log_n
+    product = log_total_k + log_total_q - 4.0 * log_n
+    cross = float(logsumexp(log_row_k + log_row_q)) - 3.0 * log_n
+    return joint + product - 2.0 * cross
+
+
 def cs_qmi_from_log_grams(log_k: np.ndarray, log_q: np.ndarray) -> float:
     """CS-QMI from precomputed log-domain Gram matrices.
 
-    Split out so callers evaluating several dependence values on the
-    same samples (e.g. normalized CS-QMI) can share the Gram work.
+    For callers that hold the Grams already and evaluate several
+    dependence values on the same samples (e.g. normalized CS-QMI).
     """
-    n = log_k.shape[0]
-    log_n = math.log(n)
-    joint = float(logsumexp(log_k + log_q)) - 2.0 * log_n
-    product = float(logsumexp(log_k)) + float(logsumexp(log_q)) - 4.0 * log_n
-    row_k = logsumexp(log_k, axis=1)
-    row_q = logsumexp(log_q, axis=1)
-    cross = float(logsumexp(row_k + row_q)) - 3.0 * log_n
-    return joint + product - 2.0 * cross
+    return _cs_qmi_from_logs(
+        log_k.shape[0],
+        float(logsumexp(log_k + log_q)),
+        float(logsumexp(log_k)),
+        float(logsumexp(log_q)),
+        logsumexp(log_k, axis=1),
+        logsumexp(log_q, axis=1),
+    )
 
 
 def cs_qmi(x, t, sigma_x: float = 1.0, sigma_t: float = 1.0) -> float:
     """CS quadratic mutual information estimate, O(N^2) form.
 
     log(tr(KQ)/N^2) + log(1'K1 1'Q1 / N^4) - 2 log(1'KQ1 / N^3),
-    evaluated in the log domain so small widths do not underflow.
-    No N^3 intermediate is formed.
+    assembled in the log domain from streamed sums that are all at least
+    1, so small widths do not underflow.  No N x N intermediate is
+    formed.
     """
-    x, t = _paired(x, t)
-    return cs_qmi_from_log_grams(log_gram(x, x, sigma_x), log_gram(t, t, sigma_t))
+    joint, row_k, row_q = _pair_sums(x, t, sigma_x, sigma_t)
+    return _cs_qmi_from_logs(
+        row_k.size,
+        math.log(joint),
+        math.log(float(row_k.sum())),
+        math.log(float(row_q.sum())),
+        np.log(row_k),
+        np.log(row_q),
+    )
 
 
 def hsic_biased(x, t, sigma_x: float = 1.0, sigma_t: float = 1.0) -> float:
-    """Biased (V-statistic) HSIC estimate, tr(KHQH) / N^2."""
-    x, t = _paired(x, t)
-    n = x.shape[0]
-    k = gram(x, x, sigma_x)
-    q = gram(t, t, sigma_t)
-    # HKH without materializing H = I - 11'/N.
-    k_centered = k - k.mean(axis=1, keepdims=True) - k.mean(axis=0, keepdims=True) + k.mean()
-    return float(np.sum(k_centered * q)) / n**2
+    """Biased (V-statistic) HSIC estimate, tr(KHQH) / N^2.
+
+    Since H1 = 0, K and Q may be replaced by K - 11' and Q - 11', whose
+    entries exp(.) - 1 are small where the kernels are wide.  The streamed
+    aggregates of those give
+    (sum K'oQ' - 2/N sum_i r_i s_i + (1'K'1)(1'Q'1) / N^2) / N^2, with r
+    and s the row sums of K' and Q', and the three terms do not cancel
+    beyond the size of K' and Q' themselves.
+    """
+    joint, row_k, row_q = _pair_sums(x, t, sigma_x, sigma_t, np.expm1)
+    n = row_k.size
+    cross = float(row_k @ row_q)
+    product = float(row_k.sum()) * float(row_q.sum())
+    return (joint - 2.0 * cross / n + product / n**2) / n**2
 
 
 def normalized_cs_qmi(x, t, sigma_x: float = 1.0, sigma_t: float = 1.0) -> float:
@@ -106,12 +164,10 @@ def embedding_norms(x, t, sigma_x: float = 1.0, sigma_t: float = 1.0):
     Logged during training so one can inspect how close the two norms
     are (they coincide exactly in the idealized monotone-link regime).
     """
-    x, t = _paired(x, t)
-    k = gram(x, x, sigma_x)
-    q = gram(t, t, sigma_t)
-    joint = math.sqrt(float(np.mean(k * q)))
-    product = math.sqrt(float(np.mean(k)) * float(np.mean(q)))
-    return joint, product
+    joint, row_k, row_q = _pair_sums(x, t, sigma_x, sigma_t)
+    n = row_k.size
+    product = (float(row_k.sum()) / n**2) * (float(row_q.sum()) / n**2)
+    return math.sqrt(joint / n**2), math.sqrt(product)
 
 
 def nib_kde_bound(t_centers, noise_sigma: float) -> float:
@@ -124,6 +180,5 @@ def nib_kde_bound(t_centers, noise_sigma: float) -> float:
     h = as_sample_matrix(t_centers, "t_centers")
     if h.shape[0] < 2:
         raise DimensionError("bound needs at least 2 centers")
-    log_k = log_gram(h, h, noise_sigma)
-    row_log_mean = logsumexp(log_k, axis=1) - math.log(h.shape[0])
+    row_log_mean = np.log(self_gram_row_sums(h, noise_sigma)) - math.log(h.shape[0])
     return float(-np.mean(row_log_mean))

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SingularCovError
-from .kernels import check_width, log_gram, logsumexp
+from .kernels import (
+    as_sample_matrix,
+    block_logsumexp,
+    check_width,
+    log_gram,
+    log_gram_blocks,
+    logsumexp,
+    self_gram_row_sums,
+)
 
 # Log of the smallest positive (subnormal) double.  A log-mean below
 # this corresponds to a Gram mean that underflows to zero in linear
@@ -35,10 +43,20 @@ from .kernels import check_width, log_gram, logsumexp
 _LOG_UNDERFLOW = math.log(math.ulp(0.0))
 
 
-def _log_mean_exp(log_entries: np.ndarray) -> float:
-    """log(mean(exp(entries))) via log-sum-exp; -inf when all entries are -inf."""
-    total = logsumexp(log_entries)
-    return float(total - math.log(log_entries.size))
+def _sample_sets(a, b):
+    """Both sample matrices, and whether they hold the same rows in order.
+
+    Identical sets make every estimator here exactly 0; the streamed sums
+    of the self- and cross-Grams would agree only to rounding.
+    """
+    a = as_sample_matrix(a, "a")
+    b = a if b is a else as_sample_matrix(b, "b")
+    return a, b, b is a or (a.shape == b.shape and np.array_equal(a, b))
+
+
+def _self_mean(a: np.ndarray, sigma: float) -> float:
+    """mean K_aa; at least 1/N, since the diagonal entries are 1."""
+    return float(self_gram_row_sums(a, sigma).sum()) / a.shape[0] ** 2
 
 
 def empirical_cs(a, b, sigma: float = 1.0) -> float:
@@ -46,15 +64,21 @@ def empirical_cs(a, b, sigma: float = 1.0) -> float:
 
     Returns the canonical (unhalved) value
     log(mean K_aa) + log(mean K_bb) - 2 log(mean K_ab), or inf when the
-    cross-Gram mean underflows to zero (numerically disjoint supports).
+    cross-Gram mean underflows to zero (numerically disjoint supports),
+    and exactly 0 for identical sample sets.  The Grams are streamed
+    (:func:`log_gram_blocks`); only the cross-Gram mean can underflow,
+    so only it is summed in the log domain, by a max-shifted
+    log-sum-exp per row.
     """
     sigma = check_width(sigma)
-    log_self_a = _log_mean_exp(log_gram(a, a, sigma))
-    log_self_b = _log_mean_exp(log_gram(b, b, sigma))
-    log_cross = _log_mean_exp(log_gram(a, b, sigma))
+    a, b, same = _sample_sets(a, b)
+    if same:
+        return 0.0
+    row_lse = [block_logsumexp(block, axis=1) for _, _, block in log_gram_blocks(a, b, sigma)]
+    log_cross = float(logsumexp(np.concatenate(row_lse))) - math.log(a.shape[0] * b.shape[0])
     if log_cross < _LOG_UNDERFLOW:
         return math.inf
-    return log_self_a + log_self_b - 2.0 * log_cross
+    return math.log(_self_mean(a, sigma)) + math.log(_self_mean(b, sigma)) - 2.0 * log_cross
 
 
 def empirical_cs_embedding_form(a, b, sigma: float = 1.0) -> float:
@@ -74,12 +98,19 @@ def empirical_cs_embedding_form(a, b, sigma: float = 1.0) -> float:
 
 
 def empirical_mmd_sq(a, b, sigma: float = 1.0) -> float:
-    """Biased squared MMD between the two sample sets."""
+    """Biased squared MMD between the two sample sets, from streamed Grams.
+
+    Exactly 0 for identical sample sets.
+    """
     sigma = check_width(sigma)
-    self_a = float(np.mean(np.exp(log_gram(a, a, sigma))))
-    self_b = float(np.mean(np.exp(log_gram(b, b, sigma))))
-    cross = float(np.mean(np.exp(log_gram(a, b, sigma))))
-    return self_a + self_b - 2.0 * cross
+    a, b, same = _sample_sets(a, b)
+    if same:
+        return 0.0
+    cross = 0.0
+    for _, _, block in log_gram_blocks(a, b, sigma):
+        cross += float(np.exp(block, out=block).sum())
+    cross /= a.shape[0] * b.shape[0]
+    return _self_mean(a, sigma) + _self_mean(b, sigma) - 2.0 * cross
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,10 @@ class ParseError(CsibError):
     """A CSV file could not be parsed; message names row/column."""
 
 
+class CheckpointError(CsibError):
+    """A checkpoint's contents do not fit the model it describes."""
+
+
 class ConfigError(CsibError):
     """A run configuration is inconsistent; message names the field."""
 

@@ -38,8 +38,18 @@ computes the upper block triangle only and mirrors it, so the result is
 exactly symmetric with an exactly zero diagonal.  The guard works in row
 blocks of about 2^20 entries, so it adds no N x N temporaries.
 
+The numpy estimators do not hold N x N matrices: ``log_gram_blocks``
+streams the guarded log-Gram -|a_i - b_j|^2 / 2 sigma^2 in row blocks of
+about 2^16 entries through one reused buffer, each block overwritten by
+the next, and a self-Gram only over its upper block triangle.  The block
+body is the same code as ``pairwise_sqdist``'s (``_Operands.rows``), so
+the guard exists once; the values agree with ``log_gram`` up to the
+regrouping of the GEMM.
+
 ``logsumexp`` is the max-shifted log-domain sum behind every estimator
-that must not underflow at small kernel widths.
+that must not underflow at small kernel widths; ``block_logsumexp`` is
+its in-place form for one streamed block.  A self-Gram needs no shift:
+each row's largest entry is its diagonal, exp(0) = 1.
 """
 
 from __future__ import annotations
@@ -55,6 +65,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 _DIST_REL_TOL = 1e-12
 # Entries per row block of the expansion and its guard.
 _BLOCK_ENTRIES = 1 << 20
+# Entries per block streamed by log_gram_blocks: 512 KB, which stays in
+# a core's L2 cache while a reduction makes its passes over the block.
+_STREAM_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,65 @@ def guard_ratio(d: int) -> float:
     return 2.0 * (2 * d + 3) * _UNIT_ROUNDOFF / _DIST_REL_TOL
 
 
+class _Operands:
+    """Rows of a and b centred by their shared column mean, with squared norms.
+
+    Holds what every row block of the guarded expansion reads; ``same``
+    records a self-call (the same object passed twice).
+    """
+
+    def __init__(self, a, b):
+        self.same = a is b
+        a = as_sample_matrix(a, "a")
+        b = a if self.same else as_sample_matrix(b, "b")
+        if a.shape[1] != b.shape[1]:
+            raise DimensionError(
+                f"dimension mismatch: a has {a.shape[1]} columns, b has {b.shape[1]}"
+            )
+        n, d = a.shape
+        m = b.shape[0]
+        mean = (a.sum(axis=0) + b.sum(axis=0)) / (n + m)
+        self.a, self.b = a, b
+        self.ac = a - mean
+        self.bc = self.ac if self.same else b - mean
+        self.sq_a = np.einsum("ij,ij->i", self.ac, self.ac)
+        self.sq_b = self.sq_a if self.same else np.einsum("ij,ij->i", self.bc, self.bc)
+        self.tau = guard_ratio(d)
+
+    def rows(self, start: int, stop: int, lo: int, dist=None, norms=None) -> np.ndarray:
+        """Guarded squared distances of a[start:stop] to b[lo:].
+
+        Writes into ``dist`` and uses ``norms`` as scratch when they are
+        given (both of the block's shape).  In a self-call the entries
+        on the diagonal of the full matrix are left to the caller.
+        """
+        width = self.b.shape[0] - lo
+        if dist is None:
+            dist = np.empty((stop - start, width))
+            norms = np.empty((stop - start, width))
+        np.add(self.sq_a[start:stop, None], self.sq_b[None, lo:], out=norms)
+        if self.ac.shape[1] == 1:
+            # A rank-1 GEMM rounds one product per entry, exactly as
+            # np.multiply does, but costs several times more per call.
+            np.multiply(self.ac[start:stop], self.bc[lo:].T, out=dist)
+        else:
+            np.matmul(self.ac[start:stop], self.bc[lo:].T, out=dist)
+        dist *= -2.0
+        dist += norms
+        norms *= self.tau
+        suspect = dist <= norms
+        if self.same:
+            np.fill_diagonal(suspect[:, start - lo :], False)
+        if suspect.any():
+            rows, cols = np.divmod(np.flatnonzero(suspect), width)
+            step = max(1, _BLOCK_ENTRIES // self.a.shape[1])
+            for k in range(0, rows.size, step):
+                r, c = rows[k : k + step], cols[k : k + step]
+                diff = self.a[start + r] - self.b[lo + c]
+                dist[r, c] = np.einsum("ij,ij->i", diff, diff)
+        return dist
+
+
 def pairwise_sqdist(a, b) -> np.ndarray:
     """Matrix of squared Euclidean distances between rows of a and b.
 
@@ -99,41 +171,15 @@ def pairwise_sqdist(a, b) -> np.ndarray:
     docstring; passing the same object twice gives an exactly symmetric
     result with a zero diagonal.
     """
-    same = a is b
-    a = as_sample_matrix(a, "a")
-    b = a if same else as_sample_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(
-            f"dimension mismatch: a has {a.shape[1]} columns, b has {b.shape[1]}"
-        )
-    n, d = a.shape
-    m = b.shape[0]
-    mean = (a.sum(axis=0) + b.sum(axis=0)) / (n + m)
-    ac = a - mean
-    bc = ac if same else b - mean
-    sq_a = np.einsum("ij,ij->i", ac, ac)
-    sq_b = sq_a if same else np.einsum("ij,ij->i", bc, bc)
-    tau = guard_ratio(d)
+    ops = _Operands(a, b)
+    same = ops.same
+    n, m = ops.a.shape[0], ops.b.shape[0]
     out = np.empty((n, m))
     block = max(1, _BLOCK_ENTRIES // m)
     for start in range(0, n, block):
         stop = min(start + block, n)
         lo = start if same else 0  # a self-call fills the upper block triangle
-        norms = np.add.outer(sq_a[start:stop], sq_b[lo:])
-        dist = ac[start:stop] @ bc[lo:].T
-        dist *= -2.0
-        dist += norms
-        norms *= tau
-        suspect = dist <= norms
-        if same:
-            np.fill_diagonal(suspect, False)
-        if suspect.any():
-            rows, cols = np.nonzero(suspect)
-            step = max(1, _BLOCK_ENTRIES // d)
-            for k in range(0, rows.size, step):
-                r, c = rows[k : k + step], cols[k : k + step]
-                diff = a[start + r] - b[lo + c]
-                dist[r, c] = np.einsum("ij,ij->i", diff, diff)
+        dist = ops.rows(start, stop, lo)
         if same:
             square = dist[:, : stop - start]
             np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
@@ -141,6 +187,81 @@ def pairwise_sqdist(a, b) -> np.ndarray:
             out[stop:, start:stop] = dist[:, stop - start :].T
         out[start:stop, lo:] = dist
     return out
+
+
+def log_gram_blocks(a, b=None, sigma: float = 1.0):
+    """Stream the log-domain Gram matrix -|a_i - b_j|^2 / 2 sigma^2 by row blocks.
+
+    Yields ``(start, stop, block)``: ``block`` holds rows ``start:stop``
+    against the columns ``lo:``.  With ``b`` given, ``lo = 0``.  With
+    ``b=None`` the matrix is a's symmetric self-Gram and only its upper
+    block triangle is streamed: ``lo = start``, the first
+    ``stop - start`` columns of a block are its whole diagonal square,
+    and the entries right of that square stand for their mirror images
+    below the diagonal too (see :func:`fold_self_rows`).  Whenever the
+    two sides are the same rows, the diagonal is exactly zero.
+
+    The entries are those of :func:`log_gram` up to the regrouping of
+    the GEMM, and carry the same cancellation guard.  Every block is a
+    view of one buffer of about ``_STREAM_ENTRIES`` entries, small
+    enough to stay in cache: the next block overwrites it, so reduce a
+    block (in place, if that helps) before advancing.
+    """
+    scale = -0.5 / check_width(sigma) ** 2
+    upper = b is None
+    ops = _Operands(a, a if upper else b)
+    n, m = ops.a.shape[0], ops.b.shape[0]
+    rows = max(1, _STREAM_ENTRIES // m)
+    dist_buf = np.empty(min(rows, n) * m)
+    norms_buf = np.empty_like(dist_buf)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        lo = start if upper else 0
+        size = (stop - start) * (m - lo)
+        block = dist_buf[:size].reshape(stop - start, m - lo)
+        ops.rows(start, stop, lo, block, norms_buf[:size].reshape(block.shape))
+        if ops.same:
+            np.fill_diagonal(block[:, start - lo :], 0.0)
+        block *= scale
+        yield start, stop, block
+
+
+def fold_self_rows(row_sums: np.ndarray, block: np.ndarray, start: int, stop: int) -> None:
+    """Add one upper-triangle block of a symmetric matrix to its row sums.
+
+    ``block`` covers rows ``start:stop`` and columns ``start:``, as
+    :func:`log_gram_blocks` yields them without ``b`` (after any
+    elementwise map such as ``exp``); its entries right of the diagonal
+    square are also the entries of rows ``stop:`` left of the diagonal.
+    """
+    row_sums[start:stop] += block.sum(axis=1)
+    row_sums[stop:] += block[:, stop - start :].sum(axis=0)
+
+
+def self_gram_row_sums(a, sigma: float = 1.0) -> np.ndarray:
+    """Row sums of the Gaussian Gram matrix of a with itself, streamed.
+
+    Each row holds its diagonal entry exp(0) = 1 as its largest term, so
+    these linear-space sums are what a max-shifted log-sum-exp would
+    give: no row sum is below 1, whatever the width.
+    """
+    for start, stop, block in log_gram_blocks(a, sigma=sigma):
+        if start == 0:
+            row_sums = np.zeros(block.shape[1])
+        np.exp(block, out=block)
+        fold_self_rows(row_sums, block, start, stop)
+    return row_sums
+
+
+def block_logsumexp(block: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log-sum-exp of a block of finite entries along ``axis``.
+
+    Overwrites the block.
+    """
+    shift = block.max(axis=axis, keepdims=True)
+    block -= shift
+    np.exp(block, out=block)
+    return np.log(block.sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
 def gram(a, b, sigma: float = 1.0) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng
-from .errors import DimensionError, NumericalError
+from .errors import CheckpointError, DimensionError, NumericalError
 from .kernels import as_sample_matrix
 
 _ACTIVATIONS = ("relu", "identity")
@@ -313,6 +313,26 @@ def save_checkpoint(
     atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
+def _check_moments(path: str, model: ModelGraph, m: dict, v: dict) -> None:
+    """Adam moments must carry the same keys, each a parameter of its shape."""
+    if m.keys() != v.keys():
+        raise CheckpointError(
+            f"{path}: optimizer moments m and v have different keys "
+            f"({sorted(m.keys() ^ v.keys())})"
+        )
+    params = model.parameters()
+    for moments in (m, v):
+        for name, value in moments.items():
+            if name not in params:
+                raise CheckpointError(f"{path}: optimizer moment for unknown parameter {name!r}")
+            shape = np.shape(value)
+            if shape != params[name].shape:
+                raise CheckpointError(
+                    f"{path}: optimizer moment {name!r} has shape {shape}, "
+                    f"parameter has {params[name].shape}"
+                )
+
+
 def load_checkpoint(path: str):
     """Load a checkpoint; returns (model, optimizer_or_None, payload)."""
     with open(path) as handle:
@@ -329,6 +349,7 @@ def load_checkpoint(path: str):
     optimizer = None
     if payload.get("optimizer") is not None:
         o = payload["optimizer"]
+        _check_moments(path, model, o["m"], o["v"])
         optimizer = OptimizerState(
             kind=o["kind"],
             lr=o["lr"],

@@ -19,12 +19,10 @@ from . import autodiff as ad
 from . import rng
 from .conditional import mse
 from .data import Dataset
-from .dependence import cs_qmi_from_log_grams
+from .dependence import _SELF_DEP_TOL, cs_qmi_from_log_grams
 from .errors import ConfigError, DegenerateInputError, NumericalError
 from .kernels import as_sample_matrix, check_width, gram, log_gram
 from .nn import ModelGraph, OptimizerState, build_forward, predict, step
-
-_SELF_DEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from csib.cli import EXIT_INFINITY, EXIT_OK, EXIT_USAGE, json_line, main
 from csib.data import gen_synthetic, save_csv
 from csib.dependence import cs_qmi, hsic_biased
 from csib.divergences import empirical_cs
+from csib.nn import OptimizerState, init_model, save_checkpoint
 from csib.training import InfoPlanePoint
 
 
@@ -253,6 +254,20 @@ class TestTrainSweepAttack:
         first_params = json.loads(open(first).read())["encoder"]
         second_params = json.loads(open(second).read())["encoder"]
         assert first_params != second_params  # training continued
+
+    def test_resume_from_tampered_checkpoint_is_a_usage_error(self, capsys, tmp_path, train_csv):
+        cfg_path = self._config(tmp_path)
+        model_path = tmp_path / "model.json"
+        model = init_model(4, encoder_widths=(8, 6), decoder_widths=(6,), output_dim=1)
+        opt = OptimizerState(kind="adam", step_count=1)
+        opt.m["enc0.w"] = opt.v["enc0.w"] = np.zeros((3, 8))  # the parameter is 4 x 8
+        save_checkpoint(str(model_path), model, opt)
+        code, _, err = run_cli(
+            capsys, "train", "--config", cfg_path, "--data", train_csv,
+            "--out-model", str(tmp_path / "out.json"), "--resume", str(model_path),
+        )
+        assert code == EXIT_USAGE
+        assert "optimizer moment 'enc0.w'" in err
 
     def test_attack_report(self, capsys, tmp_path, train_csv):
         cfg_path = self._config(tmp_path)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csib.conditional import PredictionBatch, conditional_cs, conditional_mmd, mse
+from csib.divergences import _LOG_UNDERFLOW
 from csib.errors import DimensionError
+from csib.kernels import gram
 from csib.oracle import naive_conditional_cs, naive_conditional_mmd
 
 
@@ -130,6 +132,18 @@ def test_conditional_cs_finite_sample_sign_characterization():
     assert worst > -0.1
 
 
+def test_cross_inner_sum_underflow_boundary():
+    # x far apart makes K the identity to double precision, so the cross
+    # inner sum of row 0 is its diagonal term exp(-r^2 / 2): finite just
+    # above the log of the smallest subnormal, infinite just below it.
+    x = np.array([[0.0], [100.0]])
+    y = np.zeros((2, 1))
+    for margin, expect_inf in ((-5.0, False), (5.0, True)):
+        residual = math.sqrt(2.0 * (-_LOG_UNDERFLOW + margin))
+        batch = PredictionBatch(x, y, np.array([[residual], [0.0]]))
+        assert math.isinf(conditional_cs(batch, 1.0, 1.0)) == expect_inf
+
+
 class TestConditionalMMD:
     def test_exact_predictions_zero(self):
         gen = np.random.default_rng(3)
@@ -147,6 +161,22 @@ class TestConditionalMMD:
         fast = conditional_mmd(batch, 0.9, 1.2, ridge=0.1)
         slow = naive_conditional_mmd(batch.x, batch.y, batch.y_hat, 0.9, 1.2, 0.1)
         assert fast == pytest.approx(slow, abs=1e-8)
+
+    @pytest.mark.parametrize("ridge", [1e-6, 1e-3, 0.1, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n", [2, 7, 17, 48])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_matrix_oracle_across_ridges(self, ridge, n, d):
+        # Both paths lose about u * cond(K + ridge I) to the solve, and the
+        # A - ridge A^2 identity loses about u * ridge / l on a component of
+        # K with eigenvalue l; the components that carry the value have
+        # l of order 1 (the Gram has trace n), so 256 u (cond + ridge)
+        # bounds the relative gap with room to spare.
+        batch = random_batch(n, d, 100 + n + d)
+        fast = conditional_mmd(batch, 0.9, 1.2, ridge)
+        slow = naive_conditional_mmd(batch.x, batch.y, batch.y_hat, 0.9, 1.2, ridge)
+        eig = np.linalg.eigvalsh(gram(batch.x, batch.x, 0.9))
+        cond = (eig[-1] + ridge) / (max(eig[0], 0.0) + ridge)
+        assert abs(fast - slow) <= 256 * 2.0**-53 * (cond + ridge) * abs(slow)
 
     def test_ridge_must_be_positive(self):
         batch = random_batch(4, 2, 6)

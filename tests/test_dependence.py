@@ -12,6 +12,7 @@ from csib.dependence import (
     nib_kde_bound,
     normalized_cs_qmi,
 )
+from csib.divergences import empirical_cs
 from csib.errors import CostGuardError, DegenerateInputError, DimensionError, InvalidKernelError
 from csib.oracle import naive_cs_qmi, naive_hsic, naive_nib_bound
 
@@ -178,3 +179,31 @@ class TestCostGuard:
             naive_cs_qmi(x, x)
         with pytest.raises(CostGuardError):
             naive_hsic(x, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 20), d=st.integers(1, 3), seed=st.integers(0, 10_000),
+       offset=st.floats(-100.0, 100.0), sigma=st.floats(0.3, 3.0))
+def test_estimators_invariant_to_row_order_and_translation(n, d, seed, offset, sigma):
+    # The streamed sums regroup under a permutation, and centring absorbs a
+    # common offset up to a few ulps of it; 1e-9 (scale floored at 1) is far
+    # above both and far below any real change of the estimate.
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, d))
+    t = 0.5 * x + 0.5 * gen.standard_normal((n, d))
+    perm = gen.permutation(n)
+    shift = np.full(d, offset)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+    for measure in (cs_qmi, hsic_biased):
+        base = measure(x, t, sigma, sigma)
+        assert close(measure(x[perm], t[perm], sigma, sigma), base)
+        assert close(measure(x + shift, t - shift, sigma, sigma), base)
+    base = empirical_cs(x, t, sigma)
+    assert close(empirical_cs(x[perm], t[::-1], sigma), base)
+    assert close(empirical_cs(x + shift, t + shift, sigma), base)
+    base = nib_kde_bound(x, sigma)
+    assert close(nib_kde_bound(x[perm], sigma), base)
+    assert close(nib_kde_bound(x + shift, sigma), base)

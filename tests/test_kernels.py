@@ -5,16 +5,31 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from csib import kernels
 from csib.errors import DimensionError, InvalidKernelError
+from csib import conditional
+from csib.conditional import PredictionBatch, conditional_cs, conditional_mmd
+from csib.dependence import cs_qmi, hsic_biased, nib_kde_bound
+from csib.divergences import empirical_cs, empirical_cs_embedding_form, empirical_mmd_sq
 from csib.kernels import (
     KernelSpec,
+    block_logsumexp,
     check_width,
     gram,
     guard_ratio,
     log_gram,
+    log_gram_blocks,
     logsumexp,
     pairwise_sqdist,
+    self_gram_row_sums,
 )
-from csib.oracle import naive_pairwise_sqdist
+from csib.oracle import (
+    naive_conditional_cs,
+    naive_conditional_mmd,
+    naive_cs_qmi,
+    naive_hsic,
+    naive_mmd_sq,
+    naive_nib_bound,
+    naive_pairwise_sqdist,
+)
 
 # Twice the per-entry relative error the guarded expansion promises.
 DIST_RTOL = 2.0 * kernels._DIST_REL_TOL
@@ -165,6 +180,104 @@ def test_logsumexp_matches_scipy(n, m, seed, scale, dead_rows):
     for axis in (None, 1):
         np.testing.assert_allclose(logsumexp(x, axis=axis), scipy_logsumexp(x, axis=axis),
                                    rtol=1e-13, atol=1e-13)
+
+
+def _streamed(a, b, sigma):
+    """The full matrix reassembled from log_gram_blocks, and the blocks' buffers."""
+    n, m = len(a), len(a) if b is None else len(b)
+    out = np.full((n, m), np.nan)
+    bases = set()
+    for start, stop, block in log_gram_blocks(a, b, sigma):
+        bases.add(id(block.base))
+        if b is None:
+            out[start:stop, start:] = block
+            out[stop:, start:stop] = block[:, stop - start :].T
+        else:
+            out[start:stop] = block
+    return out, bases
+
+
+def _set_block_rows(monkeypatch, rows, width):
+    monkeypatch.setattr(kernels, "_STREAM_ENTRIES", rows * width)
+
+
+# One row per block, an odd count that leaves a short last block, and
+# one block holding every row.
+BLOCK_ROWS = (1, 3, 1000)
+
+
+class TestLogGramBlocks:
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("sigma", [0.8, 0.01])
+    def test_blocks_match_materialized(self, monkeypatch, rows, sigma):
+        a, b = rand((23, 4), 11), rand((17, 4), 12)
+        a[7] = a[2]  # an exact duplicate goes through the guard
+        whole_self, whole_cross = log_gram(a, a, sigma), log_gram(a, b, sigma)
+        _set_block_rows(monkeypatch, rows, 23)
+        upper, bases = _streamed(a, None, sigma)
+        full, _ = _streamed(a, a, sigma)
+        assert len(bases) == 1  # every block is a view of one buffer
+        for out in (upper, full):
+            np.testing.assert_allclose(out, whole_self, rtol=DIST_RTOL, atol=0)
+            assert np.all(np.diag(out) == 0.0) and out[2, 7] == 0.0 and out[7, 2] == 0.0
+        assert np.array_equal(upper, upper.T)
+        _set_block_rows(monkeypatch, rows, 17)
+        cross, _ = _streamed(a, b, sigma)
+        np.testing.assert_allclose(cross, whole_cross, rtol=DIST_RTOL, atol=0)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("sigma", [0.8, 0.01])
+    def test_reductions_match_logsumexp(self, monkeypatch, rows, sigma):
+        a, b = rand((23, 4), 13), rand((17, 4), 14) + 0.5
+        whole_self, whole_cross = log_gram(a, a, sigma), log_gram(a, b, sigma)
+        _set_block_rows(monkeypatch, rows, 23)
+        row_sums = self_gram_row_sums(a, sigma)
+        np.testing.assert_allclose(np.log(row_sums), logsumexp(whole_self, axis=1),
+                                   rtol=1e-13, atol=1e-14)
+        _set_block_rows(monkeypatch, rows, 17)
+        cross_rows = np.concatenate(
+            [block_logsumexp(block, axis=1) for _, _, block in log_gram_blocks(a, b, sigma)]
+        )
+        np.testing.assert_allclose(cross_rows, logsumexp(whole_cross, axis=1),
+                                   rtol=1e-13, atol=1e-14)
+        if sigma < 0.1:
+            # Linear-space sums underflow here; the log-domain ones do not.
+            assert np.all(np.exp(whole_cross).sum(axis=1) == 0.0)
+            assert np.all(np.isfinite(cross_rows)) and np.all(row_sums >= 1.0)
+
+    def test_columns_of_a_block(self):
+        block = rand((5, 9), 15) * 30.0 - 400.0
+        expected = logsumexp(block, axis=0)
+        np.testing.assert_allclose(block_logsumexp(block.copy(), axis=0), expected, rtol=1e-14)
+
+
+def _rel(a, b):
+    return abs(a - b) / max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_estimators_independent_of_block_rows(monkeypatch, rows):
+    """Every streamed estimator against its materialized or naive form."""
+    n = 13
+    gen = np.random.default_rng(16)
+    a, b = gen.standard_normal((n, 3)), gen.standard_normal((n, 3)) + 0.4
+    t = 0.6 * a + 0.4 * gen.standard_normal((n, 3))
+    y = gen.standard_normal((n, 1))
+    y_hat = y + 0.3 * gen.standard_normal((n, 1))
+    batch = PredictionBatch(a, y, y_hat)
+    _set_block_rows(monkeypatch, rows, n)
+    monkeypatch.setattr(conditional, "_PANEL_ROWS", 2)  # several panels of A^2
+    pairs = (
+        (empirical_cs(a, b, 0.9), empirical_cs_embedding_form(a, b, 0.9)),
+        (empirical_mmd_sq(a, b, 0.9), naive_mmd_sq(a, b, 0.9)),
+        (cs_qmi(a, t, 0.9, 1.1), naive_cs_qmi(a, t, 0.9, 1.1)),
+        (hsic_biased(a, t, 0.9, 1.1), naive_hsic(a, t, 0.9, 1.1)),
+        (nib_kde_bound(a, 0.7), naive_nib_bound(a, 0.7)),
+        (conditional_cs(batch, 0.9, 0.6), naive_conditional_cs(a, y, y_hat, 0.9, 0.6)),
+        (conditional_mmd(batch, 0.9, 0.6, 0.1), naive_conditional_mmd(a, y, y_hat, 0.9, 0.6, 0.1)),
+    )
+    for fast, reference in pairs:
+        assert _rel(fast, reference) <= 1e-10
 
 
 class TestGram:

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from csib import autodiff as ad
-from csib.errors import DimensionError, NumericalError
+from csib.errors import CheckpointError, DimensionError, NumericalError
 from csib.nn import (
     Layer,
     ModelGraph,
@@ -136,6 +138,26 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(path)
         x = rand((8, 3), 11)
         np.testing.assert_array_equal(predict(model, x), predict(loaded, x))
+
+    @pytest.mark.parametrize("tamper", ["shape", "unknown", "unpaired"])
+    def test_rejects_tampered_optimizer_moments(self, tmp_path, tamper):
+        model = tiny_model(seed=5)
+        opt = OptimizerState(kind="adam", step_count=1)
+        opt.m["enc0.w"] = rand((3, 5), 12)
+        opt.v["enc0.w"] = np.abs(rand((3, 5), 13))
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), model, opt)
+        payload = json.loads(path.read_text())
+        moments = payload["optimizer"]
+        if tamper == "shape":
+            moments["v"]["enc0.w"] = moments["v"]["enc0.w"][:2]
+        elif tamper == "unknown":
+            moments["m"]["enc9.w"] = moments["v"]["enc9.w"] = [[0.0]]
+        else:
+            del moments["v"]["enc0.w"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"
