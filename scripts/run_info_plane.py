@@ -11,10 +11,9 @@ import math
 
 import numpy as np
 
-from csib.cli import json_line
+from csib.cli import init_model_for, write_sweep
 from csib.conditional import mse
 from csib.data import gen_synthetic, minmax_normalize, split
-from csib.nn import atomic_write_text, init_model
 from csib.training import TrainConfig, sweep
 
 
@@ -42,19 +41,10 @@ def main() -> None:
         epochs=args.epochs, batch_size=128, lr=3e-3,
         sigma_x=0.25, sigma_y=0.15, seed=args.seed,
     )
-    model = init_model(args.dim, seed=args.seed, noise_init=0.1)
+    model = init_model_for(cfg, args.dim)
     grid = [float(v) for v in args.beta_grid.split(",")]
     points = sweep(train_ds, model, grid, cfg, test_ds=test_ds)
-
-    lines = [json_line(p.to_json_dict()) for p in points]
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
-    header = "beta,i_xt,i_xt_raw,i_yt_proxy,r,rmse_train,rmse_test,epochs,seed,error"
-    rows = [header] + [
-        ",".join("" if getattr(p, f) is None else str(getattr(p, f)) for f in header.split(","))
-        for p in points
-    ]
-    atomic_write_text(args.csv, "".join(row + "\n" for row in rows))
-    for line in lines:
+    for line in write_sweep(points, args.out, args.csv):
         print(line)
 
 

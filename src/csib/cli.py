@@ -13,6 +13,7 @@ JavaScript; NaN, which no estimator returns, would be written as null.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .errors import (
     ParseError,
 )
 from .nn import atomic_write_text, init_model, load_checkpoint, save_checkpoint
-from .training import TrainConfig, sweep, train
+from .training import InfoPlanePoint, TrainConfig, sweep, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -211,6 +212,18 @@ def _prepare_splits(data_path: str, cfg: TrainConfig, pipeline: dict):
     return train_ds, test_ds, record
 
 
+def init_model_for(cfg: TrainConfig, input_dim: int):
+    """The single-output model ``cfg`` describes, initialized from its seed."""
+    return init_model(
+        input_dim,
+        encoder_widths=cfg.encoder_widths,
+        decoder_widths=cfg.decoder_widths,
+        output_dim=1,
+        seed=cfg.seed,
+        noise_init=cfg.noise_init,
+    )
+
+
 def _json_safe(obj):
     """Copy of obj with non-finite floats replaced by placeholders."""
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -226,6 +239,24 @@ def json_line(obj: dict) -> str:
     """One strict JSON object on one line, keys sorted (see module docstring)."""
     text = json.dumps(_json_safe(obj), sort_keys=True, allow_nan=False)
     return text.replace('"\\u0000inf"', "1e999").replace('"\\u0000-inf"', "-1e999")
+
+
+def write_sweep(points, out: str, csv_path: str | None = None) -> list:
+    """Write sweep points as JSONL to ``out`` and, if given, as a CSV mirror.
+
+    The CSV columns are the :class:`InfoPlanePoint` fields in order, with
+    None as an empty cell.  Returns the JSON lines.
+    """
+    lines = [json_line(p.to_json_dict()) for p in points]
+    atomic_write_text(out, "".join(line + "\n" for line in lines))
+    if csv_path:
+        names = [f.name for f in dataclasses.fields(InfoPlanePoint)]
+        rows = [",".join(names)] + [
+            ",".join("" if getattr(p, name) is None else str(getattr(p, name)) for name in names)
+            for p in points
+        ]
+        atomic_write_text(csv_path, "".join(row + "\n" for row in rows))
+    return lines
 
 
 def _print_value(measure: str, value: float, params: dict) -> int:
@@ -284,14 +315,7 @@ def _cmd_train(args) -> int:
         model, optimizer, _payload = load_checkpoint(args.resume)
         del optimizer  # a fresh optimizer keeps the CLI run seeded-deterministic
     else:
-        model = init_model(
-            train_ds.features.shape[1],
-            encoder_widths=cfg.encoder_widths,
-            decoder_widths=cfg.decoder_widths,
-            output_dim=1,
-            seed=cfg.seed,
-            noise_init=cfg.noise_init,
-        )
+        model = init_model_for(cfg, train_ds.features.shape[1])
     try:
         result = train(train_ds, model, cfg, test_ds)
     except NumericalError as exc:
@@ -327,14 +351,7 @@ def _cmd_sweep(args) -> int:
     else:
         raise ConfigError("beta_grid missing (config key 'beta_grid' or --beta-grid)")
     train_ds, test_ds, _record = _prepare_splits(args.data, cfg, pipeline)
-    model = init_model(
-        train_ds.features.shape[1],
-        encoder_widths=cfg.encoder_widths,
-        decoder_widths=cfg.decoder_widths,
-        output_dim=1,
-        seed=cfg.seed,
-        noise_init=cfg.noise_init,
-    )
+    model = init_model_for(cfg, train_ds.features.shape[1])
     points = sweep(
         train_ds,
         model,
@@ -343,19 +360,7 @@ def _cmd_sweep(args) -> int:
         test_ds=test_ds,
         reference_beta=pipeline["reference_beta"],
     )
-    lines = [json_line(p.to_json_dict()) for p in points]
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
-    if args.csv:
-        header = "beta,i_xt,i_xt_raw,i_yt_proxy,r,rmse_train,rmse_test,epochs,seed,error"
-        rows = [header] + [
-            ",".join(
-                "" if getattr(p, f) is None else str(getattr(p, f))
-                for f in header.split(",")
-            )
-            for p in points
-        ]
-        atomic_write_text(args.csv, "".join(row + "\n" for row in rows))
-    for line in lines:
+    for line in write_sweep(points, args.out, args.csv):
         print(line)
     return EXIT_OK
 

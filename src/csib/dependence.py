@@ -65,31 +65,6 @@ def _pair_sums(x, t, sigma_x: float, sigma_t: float, entry=np.exp):
     return float(row_kq.sum()), row_k, row_q
 
 
-def _cs_qmi_from_logs(n, log_joint, log_total_k, log_total_q, log_row_k, log_row_q) -> float:
-    """CS-QMI from the log-domain joint sum, Gram totals and row sums."""
-    log_n = math.log(n)
-    joint = log_joint - 2.0 * log_n
-    product = log_total_k + log_total_q - 4.0 * log_n
-    cross = float(logsumexp(log_row_k + log_row_q)) - 3.0 * log_n
-    return joint + product - 2.0 * cross
-
-
-def cs_qmi_from_log_grams(log_k: np.ndarray, log_q: np.ndarray) -> float:
-    """CS-QMI from precomputed log-domain Gram matrices.
-
-    For callers that hold the Grams already and evaluate several
-    dependence values on the same samples (e.g. normalized CS-QMI).
-    """
-    return _cs_qmi_from_logs(
-        log_k.shape[0],
-        float(logsumexp(log_k + log_q)),
-        float(logsumexp(log_k)),
-        float(logsumexp(log_q)),
-        logsumexp(log_k, axis=1),
-        logsumexp(log_q, axis=1),
-    )
-
-
 def cs_qmi(x, t, sigma_x: float = 1.0, sigma_t: float = 1.0) -> float:
     """CS quadratic mutual information estimate, O(N^2) form.
 
@@ -99,14 +74,11 @@ def cs_qmi(x, t, sigma_x: float = 1.0, sigma_t: float = 1.0) -> float:
     formed.
     """
     joint, row_k, row_q = _pair_sums(x, t, sigma_x, sigma_t)
-    return _cs_qmi_from_logs(
-        row_k.size,
-        math.log(joint),
-        math.log(float(row_k.sum())),
-        math.log(float(row_q.sum())),
-        np.log(row_k),
-        np.log(row_q),
-    )
+    log_n = math.log(row_k.size)
+    joint_term = math.log(joint) - 2.0 * log_n
+    product = math.log(float(row_k.sum())) + math.log(float(row_q.sum())) - 4.0 * log_n
+    cross = float(logsumexp(np.log(row_k) + np.log(row_q))) - 3.0 * log_n
+    return joint_term + product - 2.0 * cross
 
 
 def hsic_biased(x, t, sigma_x: float = 1.0, sigma_t: float = 1.0) -> float:

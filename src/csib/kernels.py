@@ -28,10 +28,16 @@ Taking
     tau(d) = 2 (2d + 3) u / eps
 
 puts the first term at eps / 2, and the second is below eps / 2 whenever
-eps >= 16 u / (2d + 3), which holds for every d.  That gives tau = 1.1e-3
-at d = 1, 1.4e-2 at d = 30 and 5.8e-2 at d = 128.  Every entry at or
-below tau s is recomputed by explicit subtraction on the original rows,
-which is also how exact duplicates come out as exactly 0.
+eps >= 16 u / (2d + 3), which holds for every d.  That gives tau = 1.4e-2
+at d = 30 and 5.8e-2 at d = 128.  Every entry at or below tau s is
+recomputed by explicit subtraction on the original rows, which is also
+how exact duplicates come out as exactly 0.
+
+The expansion and its guard apply for d >= 2.  At d = 1 every entry is
+the explicit (a_i - b_j)^2 on the original values: the difference and
+the square round once each, so an entry is within about 3 u of the
+exact distance with no guard, and since a_j - a_i is exactly
+-(a_i - a_j), a self-Gram is exactly symmetric with a zero diagonal.
 
 A self-call (``pairwise_sqdist(a, a)`` with the same object twice)
 computes the upper block triangle only and mirrors it, so the result is
@@ -131,7 +137,7 @@ class _Operands:
         self.tau = guard_ratio(d)
 
     def rows(self, start: int, stop: int, lo: int, dist=None, norms=None) -> np.ndarray:
-        """Guarded squared distances of a[start:stop] to b[lo:].
+        """Guarded squared distances of a[start:stop] to b[lo:] (explicit at d = 1).
 
         Writes into ``dist`` and uses ``norms`` as scratch when they are
         given (both of the block's shape).  In a self-call the entries
@@ -141,13 +147,11 @@ class _Operands:
         if dist is None:
             dist = np.empty((stop - start, width))
             norms = np.empty((stop - start, width))
+        if self.a.shape[1] == 1:
+            np.subtract(self.a[start:stop], self.b[lo:].T, out=dist)
+            return np.square(dist, out=dist)
         np.add(self.sq_a[start:stop, None], self.sq_b[None, lo:], out=norms)
-        if self.ac.shape[1] == 1:
-            # A rank-1 GEMM rounds one product per entry, exactly as
-            # np.multiply does, but costs several times more per call.
-            np.multiply(self.ac[start:stop], self.bc[lo:].T, out=dist)
-        else:
-            np.matmul(self.ac[start:stop], self.bc[lo:].T, out=dist)
+        np.matmul(self.ac[start:stop], self.bc[lo:].T, out=dist)
         dist *= -2.0
         dist += norms
         norms *= self.tau

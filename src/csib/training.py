@@ -19,9 +19,9 @@ from . import autodiff as ad
 from . import rng
 from .conditional import mse
 from .data import Dataset
-from .dependence import _SELF_DEP_TOL, cs_qmi_from_log_grams
+from .dependence import _SELF_DEP_TOL, cs_qmi, embedding_norms
 from .errors import ConfigError, DegenerateInputError, NumericalError
-from .kernels import as_sample_matrix, check_width, gram, log_gram
+from .kernels import as_sample_matrix, check_width, gram
 from .nn import ModelGraph, OptimizerState, build_forward, predict, step
 
 
@@ -106,21 +106,23 @@ def cs_qmi_node(ka: ad.Var, kb: ad.Var) -> ad.Var:
     return joint + product - 2.0 * cross
 
 
-def normalized_cs_qmi_node(log_k: np.ndarray, k: np.ndarray, t_var: ad.Var,
-                           sigma_t: float) -> ad.Var:
+def normalized_cs_qmi_node(k: np.ndarray, t_var: ad.Var, sigma_t: float) -> ad.Var:
     """Normalized CS-QMI node I(x;t) / sqrt(I(x;x) I(t;t)).
 
-    ``log_k`` and ``k = exp(log_k)`` are the constant x-side Gram
-    matrices; one t-Gram node serves both I(t;t) and I(x;t).
+    ``k`` is the constant x-side Gram matrix; I(x;x) is the same node
+    evaluated on it, in linear space, which cannot underflow: every sum
+    of a unit-diagonal self-Gram is at least n.  One t-Gram node serves
+    both I(t;t) and I(x;t).
     """
-    i_xx = cs_qmi_from_log_grams(log_k, log_k)
+    k_var = ad.Var(k)
+    i_xx = float(cs_qmi_node(k_var, k_var).value)
     if i_xx <= _SELF_DEP_TOL:
         raise DegenerateInputError("x has zero self-dependence (constant input)")
     q = ad.exp(ad.pairwise_sqdist(t_var, t_var) * (-0.5 / check_width(sigma_t) ** 2))
     i_tt = cs_qmi_node(q, q)
     if float(i_tt.value) <= _SELF_DEP_TOL:
         raise DegenerateInputError("t has zero self-dependence (constant representation)")
-    i_xt = cs_qmi_node(ad.Var(k), q)
+    i_xt = cs_qmi_node(k_var, q)
     return i_xt / ((i_xx * i_tt) ** 0.5)
 
 
@@ -139,15 +141,14 @@ def cs_ib_loss(x, y, y_hat, t, cfg: TrainConfig) -> LossParts:
     naming the offending term.
     """
     x = as_sample_matrix(x, "x")
-    log_k = log_gram(x, x, cfg.sigma_x)
-    k = np.exp(log_k)
+    k = gram(x, x, cfg.sigma_x)
     prediction = conditional_cs_node(k, y, y_hat, cfg.sigma_y)
     if not np.isfinite(prediction.value):
         raise NumericalError("prediction term (conditional CS) is non-finite")
     if cfg.beta == 0.0:
         return LossParts(loss=prediction, prediction=prediction, regularizer=None)
     t_var = t if isinstance(t, ad.Var) else ad.Var(as_sample_matrix(t, "t"))
-    regularizer = normalized_cs_qmi_node(log_k, k, t_var, cfg.sigma_t)
+    regularizer = normalized_cs_qmi_node(k, t_var, cfg.sigma_t)
     if not np.isfinite(regularizer.value):
         raise NumericalError("compression term (normalized CS-QMI) is non-finite")
     loss = prediction + cfg.beta * regularizer
@@ -164,44 +165,25 @@ def _rmse(model: ModelGraph, ds: Dataset) -> float:
     return math.sqrt(mse(ds.targets, predict(model, ds.features)))
 
 
-def _info_plane_metrics(model: ModelGraph, ds: Dataset, cfg: TrainConfig, epoch: int, cache: dict):
-    """Info-plane quantities between x and the (stochastic) t.
+def _info_plane_metrics(model: ModelGraph, ds: Dataset, cfg: TrainConfig, epoch: int):
+    """Info-plane quantities between x (the first ``eval_subset`` rows) and the stochastic t.
 
-    Shares one pair of log-Grams per epoch and caches the constant
-    x-side quantities across epochs.
+    Returns (normalized CS-QMI, raw CS-QMI, embedding norms); the
+    normalized value is 0 when x or t has no self-dependence.
     """
     n_eval = min(ds.rows, cfg.eval_subset)
     x = ds.features[:n_eval]
-    if "log_k" not in cache:
-        cache["log_k"] = log_gram(x, x, cfg.sigma_x)
-        cache["k"] = np.exp(cache["log_k"])
-        cache["i_xx"] = cs_qmi_from_log_grams(cache["log_k"], cache["log_k"])
-    enc = predict_latent(model, x)
     noise = rng.standard_normal((n_eval, model.latent_dim), cfg.seed, 43, epoch)
-    t = enc + model.noise_std * noise
-    log_q = log_gram(t, t, cfg.sigma_t)
-    i_raw = cs_qmi_from_log_grams(cache["log_k"], log_q)
-    i_tt = cs_qmi_from_log_grams(log_q, log_q)
-    q = np.exp(log_q)
-    norms = (
-        math.sqrt(float(np.mean(cache["k"] * q))),
-        math.sqrt(float(np.mean(cache["k"])) * float(np.mean(q))),
-    )
-    if cache["i_xx"] <= _SELF_DEP_TOL or i_tt <= _SELF_DEP_TOL:
+    t = build_forward(model, x, noise).t.value
+    i_raw = cs_qmi(x, t, cfg.sigma_x, cfg.sigma_t)
+    i_xx = cs_qmi(x, x, cfg.sigma_x, cfg.sigma_x)
+    i_tt = cs_qmi(t, t, cfg.sigma_t, cfg.sigma_t)
+    norms = embedding_norms(x, t, cfg.sigma_x, cfg.sigma_t)
+    if i_xx <= _SELF_DEP_TOL or i_tt <= _SELF_DEP_TOL:
         i_norm = 0.0
     else:
-        i_norm = i_raw / math.sqrt(cache["i_xx"] * i_tt)
+        i_norm = i_raw / math.sqrt(i_xx * i_tt)
     return i_norm, i_raw, norms
-
-
-def predict_latent(model: ModelGraph, x) -> np.ndarray:
-    """Encoder output before noise (the noise mean)."""
-    h = as_sample_matrix(x, "x")
-    for layer in model.encoder:
-        h = h @ layer.w + layer.b
-        if layer.activation == "relu":
-            h = np.maximum(h, 0.0)
-    return h
 
 
 def train(
@@ -221,7 +203,6 @@ def train(
     log: list = []
     last_good = model.copy()
     n = train_ds.rows
-    eval_cache: dict = {}
     for epoch in range(cfg.epochs):
         order = rng.permutation(n, cfg.seed, 41, epoch)
         loss_sum = pred_sum = reg_sum = 0.0
@@ -261,7 +242,7 @@ def train(
             pred_sum += float(parts.prediction.value)
             reg_sum += float(parts.regularizer.value) if parts.regularizer is not None else 0.0
             batches += 1
-        i_norm, i_raw, norms = _info_plane_metrics(model, train_ds, cfg, epoch, eval_cache)
+        i_norm, i_raw, norms = _info_plane_metrics(model, train_ds, cfg, epoch)
         record = {
             "epoch": epoch,
             "loss": loss_sum / max(batches, 1),

@@ -1,13 +1,18 @@
-"""Ledger of seeded estimator outputs, and the script that writes it.
+"""Ledger of seeded estimator, training and attack outputs, and the script that writes it.
 
-The ledger ``estimates.json`` holds the seven ``csib estimate`` measures on
-seeded N = 48 inputs (stored with ``float.hex``) and the ``csib verify
-forms --seed 0`` report.  A seeded value is bit-identical for one OpenBLAS
-core kernel but may differ in its last bits under another, so the ledger
-records the cores that produced it and a relative tolerance measured by
-running the measures under each of ``CORETYPES`` in its own process.
-``tests/test_golden.py`` compares bit for bit on the recorded cores and
-within that tolerance elsewhere.
+The ledger ``estimates.json`` has two slices, each stored with
+``float.hex``.  The estimator slice holds the seven ``csib estimate``
+measures on seeded N = 48 inputs and the ``csib verify forms --seed 0``
+report.  The training slice holds every float of the epoch logs of a
+seeded 3-epoch toy run at beta = 0 and at beta = 0.05, the clean and
+attacked RMSE of one FGSM and one PGD report on the beta = 0 model, and a
+sha256 of each run's final weights.  A seeded value is bit-identical for
+one OpenBLAS core kernel but may differ in its last bits under another,
+so the ledger records the cores that produced it and, per slice, a
+relative tolerance measured by running the slice under each of
+``CORETYPES`` in its own process.  ``tests/test_golden.py`` compares bit
+for bit on the recorded cores and within that tolerance elsewhere, where
+the weight digests are not compared.
 
     PYTHONPATH=src python tests/golden/make_estimates.py           # rewrite the ledger
     PYTHONPATH=src python tests/golden/make_estimates.py --print   # print this run's snapshot
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import hashlib
 import io
 import json
 import math
@@ -29,9 +35,12 @@ import sys
 import numpy as np
 
 from csib import cli
+from csib.attacks import AttackConfig, evaluate_robustness
 from csib.conditional import PredictionBatch, conditional_cs, conditional_mmd
+from csib.data import gen_synthetic, minmax_normalize, split
 from csib.dependence import cs_qmi, hsic_biased, nib_kde_bound
 from csib.divergences import empirical_cs, empirical_mmd_sq
+from csib.training import TrainConfig, train
 
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "estimates.json")
 CORETYPES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")
@@ -92,11 +101,49 @@ def forms_report() -> dict:
     return json.loads(out.getvalue().splitlines()[-1])
 
 
+def _weights_sha256(model) -> str:
+    digest = hashlib.sha256()
+    for name, value in model.parameters().items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+def training_runs() -> tuple:
+    """Flat name -> value floats of the toy runs and attacks, and weight digests."""
+    ds = gen_synthetic(160, d=8, seed=SEED)
+    train_ds, test_ds = split(ds, (0.75, 0.25), SEED)
+    train_ds = minmax_normalize(train_ds)
+    test_ds = minmax_normalize(test_ds, train_ds.normalization)
+    values, digests = {}, {}
+    for beta in (0.0, 0.05):
+        cfg = TrainConfig(beta=beta, epochs=3, batch_size=32, lr=3e-3, seed=SEED,
+                          encoder_widths=(16, 8), decoder_widths=(8,), eval_subset=64)
+        model = cli.init_model_for(cfg, 8)
+        result = train(train_ds, model, cfg, test_ds)
+        run = f"beta={beta}"
+        for record in result.epoch_log:
+            for field, value in record.items():
+                if isinstance(value, float):
+                    values[f"{run}/epoch{record['epoch']}/{field}"] = value
+        digests[run] = _weights_sha256(result.model)
+        if beta == 0.0:
+            for kind in ("fgsm", "pgd"):
+                report = evaluate_robustness(result.model, test_ds.features, test_ds.targets,
+                                             AttackConfig(kind=kind))
+                for field in ("clean_rmse", "attacked_rmse"):
+                    values[f"{kind}/{field}"] = report[field]
+    return values, digests
+
+
 def snapshot() -> dict:
+    values, digests = training_runs()
     return {
         "blas_cores": blas_cores(),
         "measures": {name: float.hex(value) for name, value in measures().items()},
         "forms": forms_report(),
+        "training": {name: float.hex(value) for name, value in values.items()},
+        "weights_sha256": digests,
     }
 
 
@@ -107,13 +154,19 @@ def _snapshot_under(core: str) -> dict:
     return json.loads(result.stdout)
 
 
-def relative_drift(a: dict, b: dict) -> float:
-    """Largest relative difference between two snapshots' measures."""
-    worst = 0.0
-    for name, hexval in a["measures"].items():
-        x, y = float.fromhex(hexval), float.fromhex(b["measures"][name])
-        worst = max(worst, abs(x - y) / abs(x))
-    return worst
+def relative_error(want: float, got: float) -> float:
+    """|got - want| / |want|, or |got| where want is exactly 0."""
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+def relative_drift(a: dict, b: dict, key: str = "measures") -> float:
+    """Largest relative difference between two snapshots' values of one slice."""
+    return max(relative_error(float.fromhex(hexval), float.fromhex(b[key][name]))
+               for name, hexval in a[key].items())
+
+
+def _tolerance(drift: float) -> float:
+    return max(_TOL_FACTOR * drift, _TOL_FLOOR_ULPS * 2.0**-52)
 
 
 def main(argv) -> int:
@@ -121,12 +174,17 @@ def main(argv) -> int:
         print(json.dumps(snapshot(), sort_keys=True))
         return 0
     ledger = snapshot()
-    drift = max(relative_drift(ledger, _snapshot_under(core)) for core in CORETYPES)
+    others = [_snapshot_under(core) for core in CORETYPES]
+    drift = max(relative_drift(ledger, other) for other in others)
+    training_drift = max(relative_drift(ledger, other, "training") for other in others)
     ledger["cross_core_drift"] = drift
-    ledger["cross_core_rel_tol"] = max(_TOL_FACTOR * drift, _TOL_FLOOR_ULPS * 2.0**-52)
+    ledger["cross_core_rel_tol"] = _tolerance(drift)
+    ledger["training_cross_core_drift"] = training_drift
+    ledger["training_cross_core_rel_tol"] = _tolerance(training_drift)
     with open(LEDGER, "w") as handle:
         handle.write(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {LEDGER}: cores {ledger['blas_cores']}, cross-core drift {drift:.3e}")
+    print(f"wrote {LEDGER}: cores {ledger['blas_cores']}, cross-core drift {drift:.3e} "
+          f"(estimators), {training_drift:.3e} (training and attacks)")
     return 0
 
 

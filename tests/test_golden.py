@@ -1,4 +1,4 @@
-"""Seeded estimator outputs against the committed ledger in tests/golden/."""
+"""Seeded estimator, training and attack outputs against the committed ledger in tests/golden/."""
 
 import importlib.util
 import json
@@ -17,18 +17,23 @@ def test_estimates_match_ledger():
     now = make_estimates.snapshot()
     assert now["forms"] == ledger["forms"]
     # Bit for bit on the OpenBLAS cores that wrote the ledger; elsewhere
-    # within the drift measured across cores.
+    # within the drift measured across cores, per slice.
     exact = now["blas_cores"] == ledger["blas_cores"]
-    tolerance = 0.0 if exact else ledger["cross_core_rel_tol"]
+    if exact:
+        assert now["weights_sha256"] == ledger["weights_sha256"]
     mismatches = []
-    for name, recorded in sorted(ledger["measures"].items()):
-        want, got = float.fromhex(recorded), float.fromhex(now["measures"][name])
-        rel = abs(got - want) / abs(want)
-        if rel > tolerance:
-            ulps = abs(got - want) / math.ulp(want)
-            mismatches.append(f"{name}: {got!r} vs ledger {want!r}, "
-                              f"relative error {rel:.3e}, {ulps:.0f} ulp")
+    for key, tol_key in (("measures", "cross_core_rel_tol"),
+                         ("training", "training_cross_core_rel_tol")):
+        tolerance = 0.0 if exact else ledger[tol_key]
+        assert sorted(now[key]) == sorted(ledger[key])
+        for name, recorded in sorted(ledger[key].items()):
+            want, got = float.fromhex(recorded), float.fromhex(now[key][name])
+            rel = make_estimates.relative_error(want, got)
+            if rel > tolerance:
+                ulps = abs(got - want) / math.ulp(want)
+                mismatches.append(f"{name}: {got!r} vs ledger {want!r}, "
+                                  f"relative error {rel:.3e}, {ulps:.0f} ulp, "
+                                  f"tolerance {tolerance:.3e}")
     assert not mismatches, (
-        f"cores {now['blas_cores']} vs ledger {ledger['blas_cores']}, "
-        f"tolerance {tolerance:.3e}: " + "; ".join(mismatches)
+        f"cores {now['blas_cores']} vs ledger {ledger['blas_cores']}: " + "; ".join(mismatches)
     )

@@ -91,6 +91,12 @@ class TestGuardedExpansion:
         assert np.all(np.diag(blocked_self) == 0.0) and blocked_self[3, 5] == 0.0
         np.testing.assert_allclose(pairwise_sqdist(a, b), whole_cross, rtol=DIST_RTOL, atol=0)
 
+    def test_one_dimensional_rows_are_explicit_differences(self):
+        # y = sin(.) puts many entries below the d >= 2 guard's threshold.
+        a, b = np.sin(rand((300, 1), 11)), np.sin(rand((200, 1), 12))
+        assert np.array_equal(pairwise_sqdist(a, b), (a - b.T) ** 2)
+        assert np.array_equal(pairwise_sqdist(a, a), (a - a.T) ** 2)
+
 
 def _assert_matches_naive(a, b):
     out = pairwise_sqdist(a, b)

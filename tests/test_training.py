@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from csib import autodiff as ad
+from csib import rng
 from csib.conditional import PredictionBatch, conditional_cs
 from csib.data import Dataset
-from csib.dependence import normalized_cs_qmi
+from csib.dependence import cs_qmi, embedding_norms, normalized_cs_qmi
 from csib.errors import ConfigError, DegenerateInputError, NumericalError
+from csib.kernels import gram
 from csib.nn import build_forward, init_model
 from csib.training import (
     InfoPlanePoint,
     TrainConfig,
     compression_ratio,
     cs_ib_loss,
+    cs_qmi_node,
     iyt_proxy,
     sweep,
     train,
@@ -100,6 +103,16 @@ class TestCsIbLoss:
             direct_pred + cfg.beta * direct_reg, abs=1e-12
         )
 
+    @pytest.mark.parametrize("sigma", [1.0, 1e-3])
+    def test_constant_self_dependence_node_matches_estimator(self, sigma):
+        # At sigma = 1e-3 every off-diagonal entry of the Gram underflows.
+        x = toy_dataset().features
+        k = ad.Var(gram(x, x, sigma))
+        if sigma < 1.0:
+            assert np.array_equal(k.value, np.eye(x.shape[0]))
+        node_value = float(cs_qmi_node(k, k).value)
+        assert node_value == pytest.approx(cs_qmi(x, x, sigma, sigma), rel=1e-12)
+
     def test_gradient_matches_finite_differences(self):
         # composed loss w.r.t. y_hat through the conditional term
         ds = toy_dataset(n=10)
@@ -151,6 +164,23 @@ class TestTrain:
             )
             assert record["emb_norm_joint"] > 0
             assert record["emb_norm_product"] > 0
+
+    def test_info_plane_record_uses_the_estimators(self):
+        ds = toy_dataset()
+        cfg = toy_config(epochs=1, beta=0.05, eval_subset=40)
+        result = train(ds, toy_model(ds, cfg), cfg)
+        record = result.epoch_log[0]
+        x = ds.features[:40]
+        noise = rng.standard_normal((40, result.model.latent_dim), cfg.seed, 43, 0)
+        t = build_forward(result.model, x, noise).t.value
+        i_raw = cs_qmi(x, t, cfg.sigma_x, cfg.sigma_t)
+        i_xx = cs_qmi(x, x, cfg.sigma_x, cfg.sigma_x)
+        i_tt = cs_qmi(t, t, cfg.sigma_t, cfg.sigma_t)
+        assert record["i_xt_raw"] == i_raw
+        assert record["i_xt"] == i_raw / math.sqrt(i_xx * i_tt)
+        assert (record["emb_norm_joint"], record["emb_norm_product"]) == embedding_norms(
+            x, t, cfg.sigma_x, cfg.sigma_t
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_abort_keeps_last_good(self):
